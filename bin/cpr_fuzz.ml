@@ -83,15 +83,19 @@ let run_campaign iterations seed tolerance max_nets no_ilp no_routing
     Format.printf "--trace and --deltas are mutually exclusive@.";
     2
   | Some path, Some delta_path, None ->
-    (* re-run the ECO differential on a saved (design, deltas) repro *)
+    (* re-run both ECO passes on a saved (design, deltas) repro *)
     let design = Netlist.Design_io.load path in
     let stream = Eco.Delta.load delta_path in
     Format.printf "replaying %s + %s: %s, %d batches@." path delta_path
       (Netlist.Design.stats design)
       (List.length stream);
-    (match Audit.Eco_audit.check ~tolerance design stream with
+    (match
+       Result.bind (Audit.Eco_audit.check ~tolerance design stream) (fun () ->
+           Audit.Eco_audit.check ~tolerance
+             ~config:Audit.Eco_audit.routed_config design stream)
+     with
     | Ok () ->
-      Format.printf "ECO differential holds@.";
+      Format.printf "ECO passes hold@.";
       0
     | Error reason ->
       Format.printf "FAILURE: %s@." reason;
@@ -268,8 +272,9 @@ let deltas =
     value & opt (some file) None
     & info [ "deltas" ]
         ~doc:
-          "With --replay: re-run only the ECO differential on this saved \
-           delta stream against the replayed design.")
+          "With --replay: re-run only the ECO passes (the differential \
+           and the routed, warm-started audit) on this saved delta stream \
+           against the replayed design.")
 
 let trace_in =
   Arg.(

@@ -12,6 +12,7 @@ let stream_seed design =
   Int64.of_int (Hashtbl.hash (Netlist.Design_io.to_string design))
 
 let default_config = { Engine.default_config with warm_start = false }
+let routed_config = { Engine.default_config with routing = true }
 
 (* The assignment by physical identity: interval ids are re-densified
    by cache materialization, so the comparison keys each pin by its

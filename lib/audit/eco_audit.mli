@@ -21,6 +21,11 @@ val stream_seed : Netlist.Design.t -> int64
 (** Deterministic fuzz-stream seed derived from the design text, so a
     failing case replays from the design alone. *)
 
+val routed_config : Eco.Engine.config
+(** {!Eco.Engine.default_config} with [routing = true]: warm starts on,
+    so {!check} skips bit-equality and certifies and flow-audits every
+    step of the incremental flow instead. *)
+
 val check :
   ?tolerance:float ->
   ?config:Eco.Engine.config ->

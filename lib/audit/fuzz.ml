@@ -186,6 +186,13 @@ let check_design config design =
             (eco_stream config design))
   in
   let* () =
+    if not (config.eco && config.routing) then Ok ()
+    else
+      invariant "eco-routed" (fun () ->
+          Eco_audit.check ~tolerance:config.tolerance
+            ~config:Eco_audit.routed_config design (eco_stream config design))
+  in
+  let* () =
     match config.tpl with
     | None -> Ok ()
     | Some colors ->
@@ -439,15 +446,20 @@ let run ?(progress = fun _ -> ()) config =
             | Error r -> r
             | Ok () -> reason
           in
-          (* when the surviving violation is the ECO differential, also
-             ddmin the delta stream so the repro is (design, deltas) *)
+          (* when the surviving violation is an ECO pass, also ddmin
+             the delta stream (under that pass's engine config) so the
+             repro is (design, deltas) *)
           let deltas, delta_steps =
-            if
-              config.eco
-              && String.starts_with ~prefix:"eco-differential" shrunk_reason
-            then
+            let shrink_with eco_config =
               Eco_audit.shrink_stream ~tolerance:config.tolerance
-                ~rounds:config.shrink_rounds shrunk (eco_stream config shrunk)
+                ?config:eco_config ~rounds:config.shrink_rounds shrunk
+                (eco_stream config shrunk)
+            in
+            if not config.eco then ([], 0)
+            else if String.starts_with ~prefix:"eco-differential" shrunk_reason
+            then shrink_with None
+            else if String.starts_with ~prefix:"eco-routed" shrunk_reason then
+              shrink_with (Some Eco_audit.routed_config)
             else ([], 0)
           in
           (* a tune-campaign failure ships its policy trace so the

@@ -17,7 +17,9 @@
       under {!Flow_audit.run};
     - a seeded ECO delta stream replayed through {!Eco.Engine} must
       stay certificate-identical to from-scratch re-optimization
-      ({!Eco_audit.check}).
+      ({!Eco_audit.check}), and the same stream replayed through a
+      routed, warm-started engine ({!Eco_audit.routed_config}) must
+      certify and flow-audit clean after every step.
 
     On a violation the failing design is shrunk — delta-debugging over
     its nets, then its blockages — to a minimal design that still
@@ -38,7 +40,9 @@ type config = {
           comparison is skipped (never failed) when the budget expires
           before optimality is proven *)
   shrink_rounds : int;  (** cap on candidate evaluations while shrinking *)
-  eco : bool;  (** run the ECO incremental-vs-scratch differential *)
+  eco : bool;
+      (** run the ECO incremental-vs-scratch differential; with
+          [routing] also the routed, warm-started ECO pass *)
   eco_steps : int;  (** batches per ECO stream *)
   eco_edits : int;  (** edits per batch *)
   tpl : int option;

@@ -165,6 +165,10 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
     (* penalize: walk every clique, count selections, move multipliers
        along the subgradient (Eq. 3) *)
     let vio = ref 0 in
+    (* [lr.step_size] gets one sample per iteration — the mean step of
+       the cliques it updated — so metering costs one observe per
+       iteration, not one per clique *)
+    let step_sum = ref 0.0 and steps = ref 0 in
     Array.iteri
       (fun m (clique : Conflict.clique) ->
         let cnt =
@@ -181,7 +185,8 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
         in
         if update then begin
           let s = step !k clique in
-          Obs.Metrics.observe m_step_size s;
+          step_sum := !step_sum +. s;
+          incr steps;
           let lam' = Float.max 0.0 (lambda.(m) +. (s *. g)) in
           let delta = lam' -. lambda.(m) in
           if delta <> 0.0 then begin
@@ -192,6 +197,8 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
           end
         end)
       cliques;
+    if !steps > 0 then
+      Obs.Metrics.observe m_step_size (!step_sum /. float_of_int !steps);
     let relaxed =
       let sel = ref 0.0 in
       Array.iteri (fun id c -> if c then sel := !sel +. gains.(id)) chosen;

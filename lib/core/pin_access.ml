@@ -175,84 +175,6 @@ let solve_problem ?warm_start config ~budget kind ~panel
   in
   (assignments, objective, report, multipliers)
 
-(* Give each remaining panel an equal slice of what is left, so an
-   early pathological panel cannot starve the rest of the design. *)
-let panel_budget budget ~panels_left =
-  if Budget.is_unlimited budget || panels_left <= 1 then budget
-  else
-    let slice o n = Option.map (fun v -> v /. float_of_int n) o in
-    let seconds = slice (Budget.remaining_seconds budget) panels_left in
-    let work_units =
-      Option.map
-        (fun w -> max 1 (w / panels_left))
-        (Budget.remaining_work budget)
-    in
-    Budget.sub budget ?seconds ?work_units ()
-
-let solve_sequential config ~budget kind problems =
-  let panels_left =
-    ref
-      (List.length
-         (List.filter (fun (_, p) -> Problem.num_pins p > 0) problems))
-  in
-  List.fold_left
-    (fun (acc_a, acc_o, acc_r) (panel, problem) ->
-      if Problem.num_pins problem = 0 then (acc_a, acc_o, acc_r)
-      else begin
-        let sliced = panel_budget budget ~panels_left:!panels_left in
-        decr panels_left;
-        let a, o, r, _ =
-          solve_problem config ~budget:sliced kind ~panel problem
-        in
-        (List.rev_append a acc_a, acc_o +. o, r :: acc_r)
-      end)
-    ([], 0.0, []) problems
-
-(* Panels are independent subproblems (Sec. 3.4): fan them out over a
-   domain pool.  Each task gets an equal, *isolated* slice of the
-   remaining budget (private work counter — domains share no mutable
-   budget state) and runs with its metrics and spans buffered
-   domain-locally; the join below merges everything back in panel
-   order, so reports, assignments, counters and traces come out
-   identical to a sequential left-to-right run. *)
-let solve_parallel config ~budget ~j kind live =
-  let tasks = Array.of_list live in
-  let n = Array.length tasks in
-  let slices =
-    Array.map
-      (fun _ ->
-        if Budget.is_unlimited budget then Budget.isolated budget ()
-        else
-          let seconds =
-            Option.map
-              (fun s -> s /. float_of_int n)
-              (Budget.remaining_seconds budget)
-          in
-          let work_units =
-            Option.map (fun w -> max 1 (w / n)) (Budget.remaining_work budget)
-          in
-          Budget.isolated budget ?seconds ?work_units ())
-      tasks
-  in
-  let trace_on = Obs.Trace.enabled () in
-  let solve i (panel, problem) =
-    let task () = solve_problem config ~budget:slices.(i) kind ~panel problem in
-    Obs.Metrics.buffered (fun () ->
-        if trace_on then Obs.Trace.buffered task else (task (), []))
-  in
-  let results = Exec.mapi (Exec.shared ~domains:j) solve tasks in
-  let acc_a = ref [] and acc_o = ref 0.0 and acc_r = ref [] in
-  Array.iteri
-    (fun i (((a, o, r, _), events), mbuf) ->
-      Obs.Metrics.flush mbuf;
-      Obs.Trace.replay events;
-      Budget.spend budget (Budget.work_spent slices.(i));
-      acc_a := List.rev_append a !acc_a;
-      acc_o := !acc_o +. o;
-      acc_r := r :: !acc_r)
-    results;
-  (!acc_a, !acc_o, !acc_r)
-
 type tune_hook = {
   tune_select : panel:int -> Problem.t -> config -> config * string;
   tune_observe :
@@ -262,77 +184,6 @@ type tune_hook = {
     delta:Obs.Metrics.snapshot ->
     unit;
 }
-
-(* Tuned fan-out (lib/tune): panels are processed in fixed-size waves.
-   Within a wave, policies are selected panel-ascending before any
-   solve runs; the wave then solves on the pool (or inline), and its
-   per-panel metric deltas are observed back panel-ascending.  A
-   panel's policy can therefore depend on the rewards of every earlier
-   wave but never on an in-flight solve — and since the wave size is a
-   constant and every merge walks ascending panel order, the policy
-   trace and the output bytes are independent of [j]. *)
-let tune_wave = 8
-
-let solve_tuned config ~budget ~j ~tune kind live =
-  let tasks = Array.of_list live in
-  let n = Array.length tasks in
-  let trace_on = Obs.Trace.enabled () in
-  let pool = if j > 1 then Some (Exec.shared ~domains:j) else None in
-  let acc_a = ref [] and acc_o = ref 0.0 and acc_r = ref [] in
-  let start = ref 0 in
-  while !start < n do
-    let len = min tune_wave (n - !start) in
-    let left = n - !start in
-    (* equal isolated slices over the remaining live panels — the
-       solve_parallel discipline, re-sliced at each wave boundary *)
-    let slice () =
-      if Budget.is_unlimited budget then Budget.isolated budget ()
-      else
-        let seconds =
-          Option.map
-            (fun s -> s /. float_of_int left)
-            (Budget.remaining_seconds budget)
-        in
-        let work_units =
-          Option.map (fun w -> max 1 (w / left)) (Budget.remaining_work budget)
-        in
-        Budget.isolated budget ?seconds ?work_units ()
-    in
-    let slices = Array.init len (fun _ -> slice ()) in
-    let wave = Array.sub tasks !start len in
-    let chosen =
-      Array.map
-        (fun (panel, problem) -> tune.tune_select ~panel problem config)
-        wave
-    in
-    let solve i (panel, problem) =
-      let cfg, _ = chosen.(i) in
-      let task () = solve_problem cfg ~budget:slices.(i) kind ~panel problem in
-      Obs.Metrics.buffered (fun () ->
-          if trace_on then Obs.Trace.buffered task else (task (), []))
-    in
-    let results =
-      match pool with
-      | Some pool when len > 1 -> Exec.mapi pool solve wave
-      | _ -> Array.mapi solve wave
-    in
-    Array.iteri
-      (fun i (((a, o, r, _), events), mbuf) ->
-        let before = Obs.Metrics.snapshot () in
-        Obs.Metrics.flush mbuf;
-        Obs.Trace.replay events;
-        let after = Obs.Metrics.snapshot () in
-        Budget.spend budget (Budget.work_spent slices.(i));
-        let panel, _ = wave.(i) in
-        tune.tune_observe ~panel ~policy:(snd chosen.(i)) ~objective:o
-          ~delta:(Obs.Metrics.diff ~before ~after);
-        acc_a := List.rev_append a !acc_a;
-        acc_o := !acc_o +. o;
-        acc_r := r :: !acc_r)
-      results;
-    start := !start + len
-  done;
-  (!acc_a, !acc_o, !acc_r)
 
 (* Global TPL coloring pass: one deterministic greedy coloring over the
    distinct selected intervals of the whole design, run after the panel
@@ -365,28 +216,17 @@ let color_assignments params assignments =
     tpl_residual = c.Solver.Color_graph.residual;
   }
 
-let tpl_of config assignments =
-  Option.map
-    (fun params -> color_assignments params assignments)
-    config.gen.Interval_gen.tpl
+let build_panel config design ~panel =
+  try Problem.build_panel config.gen design ~panel
+  with Interval_gen.Pin_unreachable pid ->
+    Cpr_error.infeasible ~panel
+      "pin %d unreachable: its primary track is blocked" pid
 
-let run ?(config = default_config) ?budget ?(j = 1) ?tune ~kind design
-    problems =
-  Obs.Trace.with_span "pao.optimize" @@ fun () ->
-  let start = Unix_time.now () in
-  let budget = Budget.of_option budget in
-  let live = List.filter (fun (_, p) -> Problem.num_pins p > 0) problems in
-  let assignments, objective, reports =
-    match tune with
-    | Some hook when live <> [] ->
-      solve_tuned config ~budget ~j ~tune:hook kind live
-    | _ ->
-      if j <= 1 || List.length live <= 1 then
-        solve_sequential config ~budget kind problems
-      else solve_parallel config ~budget ~j kind live
-  in
-  let reports = List.rev reports in
-  let assignments = List.rev assignments in
+(* Assemble the result from per-panel solves in panel order. *)
+let assemble config ~kind ~start design solved =
+  let objective = List.fold_left (fun acc (_, o, _, _) -> acc +. o) 0.0 solved in
+  let assignments = List.concat_map (fun (a, _, _, _) -> a) solved in
+  let reports = List.map (fun (_, _, r, _) -> r) solved in
   {
     design;
     kind;
@@ -395,117 +235,95 @@ let run ?(config = default_config) ?budget ?(j = 1) ?tune ~kind design
     reports;
     degraded = List.exists (fun (r : panel_report) -> r.degraded) reports;
     elapsed = Unix_time.now () -. start;
-    tpl = tpl_of config assignments;
+    tpl =
+      Option.map
+        (fun params -> color_assignments params assignments)
+        config.gen.Interval_gen.tpl;
   }
 
-let build_panel config design ~panel =
-  try Problem.build_panel config.gen design ~panel
-  with Interval_gen.Pin_unreachable pid ->
-    Cpr_error.infeasible ~panel
-      "pin %d unreachable: its primary track is blocked" pid
+(* The one solve loop.  Each task is one panel (Sec. 3.4): it builds
+   the panel's problem on the worker that solves it — no problem list
+   is ever resident — and runs the ladder under its own budget slice.
+   {!Fanout} merges results, metrics, spans and work back in panel
+   order, so the output is the same at every [j]. *)
+let solve_panels ?merged ~budget pool kind tasks =
+  Fanout.map ~budget ?merged pool
+    (fun budget (panel, config, problem) ->
+      solve_problem config ~budget kind ~panel (problem ()))
+    tasks
 
-(* Streamed variants: build each panel's problem at the moment it is
-   solved instead of materializing every problem up front — the memory
-   contract the [mega] workload tier relies on (panel problems are the
-   dominant resident structure on large designs).  With an unlimited
-   budget the output is bit-identical to the resident path; under a
-   finite budget the slice denominator is the remaining *total* panel
-   count (pin-bearing panels are only discovered as they are built),
-   which can hand empty panels a share the resident walk reserves for
-   live ones. *)
-let solve_sequential_streamed config ~budget kind design ~num_panels =
-  let acc_a = ref [] and acc_o = ref 0.0 and acc_r = ref [] in
-  for panel = 0 to num_panels - 1 do
-    let sliced = panel_budget budget ~panels_left:(num_panels - panel) in
-    let problem = build_panel config design ~panel in
-    if Problem.num_pins problem > 0 then begin
-      let a, o, r, _ = solve_problem config ~budget:sliced kind ~panel problem in
-      acc_a := List.rev_append a !acc_a;
-      acc_o := !acc_o +. o;
-      acc_r := r :: !acc_r
-    end
-  done;
-  (!acc_a, !acc_o, !acc_r)
+(* Tuning runs the same loop over fixed-size waves.  The wave's
+   problems are built first so the selector — on the caller, in panel
+   order — sees every panel before any of them solves; observations
+   come back in panel order as each panel merges.  A panel's policy
+   therefore depends on the rewards of earlier waves but never on an
+   in-flight solve, and since the wave size is a constant the policy
+   trace and the output are independent of [j].  Each wave gets its
+   panels' share of the remaining budget. *)
+let tune_wave = 8
 
-let solve_parallel_streamed config ~budget ~j kind design ~num_panels =
-  let tasks = Array.init num_panels (fun p -> p) in
-  let slices =
-    Array.map
-      (fun _ ->
-        if Budget.is_unlimited budget then Budget.isolated budget ()
-        else
-          let seconds =
-            Option.map
-              (fun s -> s /. float_of_int num_panels)
-              (Budget.remaining_seconds budget)
-          in
-          let work_units =
-            Option.map
-              (fun w -> max 1 (w / num_panels))
-              (Budget.remaining_work budget)
-          in
-          Budget.isolated budget ?seconds ?work_units ())
-      tasks
-  in
-  let trace_on = Obs.Trace.enabled () in
-  let solve i panel =
-    let task () =
-      let problem = build_panel config design ~panel in
-      if Problem.num_pins problem = 0 then None
-      else Some (solve_problem config ~budget:slices.(i) kind ~panel problem)
+let solve_tuned config ~budget pool ~tune kind design panels =
+  let n = Array.length panels in
+  let waves = ref [] and start = ref 0 in
+  while !start < n do
+    let len = min tune_wave (n - !start) and left = n - !start in
+    let wave = Array.sub panels !start len in
+    let wave_budget =
+      Budget.sub budget
+        ?seconds:
+          (Option.map
+             (fun s -> s *. float_of_int len /. float_of_int left)
+             (Budget.remaining_seconds budget))
+        ?work_units:
+          (Option.map
+             (fun w -> max 1 (w * len / left))
+             (Budget.remaining_work budget))
+        ()
     in
-    Obs.Metrics.buffered (fun () ->
-        if trace_on then Obs.Trace.buffered task else (task (), []))
-  in
-  let results = Exec.mapi (Exec.shared ~domains:j) solve tasks in
-  let acc_a = ref [] and acc_o = ref 0.0 and acc_r = ref [] in
-  Array.iteri
-    (fun i (r, mbuf) ->
-      Obs.Metrics.flush mbuf;
-      let solved, events = r in
-      Obs.Trace.replay events;
-      Budget.spend budget (Budget.work_spent slices.(i));
-      match solved with
-      | Some (a, o, r, _) ->
-        acc_a := List.rev_append a !acc_a;
-        acc_o := !acc_o +. o;
-        acc_r := r :: !acc_r
-      | None -> ())
-    results;
-  (!acc_a, !acc_o, !acc_r)
-
-let optimize ?(config = default_config) ?budget ?j ?(stream = false) ?tune
-    ~kind design =
-  if (not stream) || tune <> None then
     let problems =
-      List.init (Netlist.Design.num_panels design) (fun panel ->
-          (panel, build_panel config design ~panel))
+      Fanout.map pool (fun _ panel -> build_panel config design ~panel) wave
     in
-    run ~config ?budget ?j ?tune ~kind design problems
-  else begin
-    Obs.Trace.with_span "pao.optimize" @@ fun () ->
-    let start = Unix_time.now () in
-    let budget = Budget.of_option budget in
-    let num_panels = Netlist.Design.num_panels design in
-    let j = Option.value ~default:1 j in
-    let assignments, objective, reports =
-      if j <= 1 || num_panels <= 1 then
-        solve_sequential_streamed config ~budget kind design ~num_panels
-      else solve_parallel_streamed config ~budget ~j kind design ~num_panels
+    let chosen =
+      Array.mapi (fun i panel -> tune.tune_select ~panel problems.(i) config) wave
     in
-    let reports = List.rev reports in
-    let assignments = List.rev assignments in
-    {
-      design;
-      kind;
-      assignments;
-      objective;
-      reports;
-      degraded = List.exists (fun (r : panel_report) -> r.degraded) reports;
-      elapsed = Unix_time.now () -. start;
-      tpl = tpl_of config assignments;
-    }
-  end
+    let window = ref (Obs.Metrics.snapshot ()) in
+    let observe i (_, objective, _, _) =
+      let after = Obs.Metrics.snapshot () in
+      tune.tune_observe ~panel:wave.(i) ~policy:(snd chosen.(i)) ~objective
+        ~delta:(Obs.Metrics.diff ~before:!window ~after);
+      window := after
+    in
+    let tasks =
+      Array.mapi
+        (fun i panel -> (panel, fst chosen.(i), Fun.const problems.(i)))
+        wave
+    in
+    waves :=
+      solve_panels ~merged:observe ~budget:wave_budget pool kind tasks :: !waves;
+    start := !start + len
+  done;
+  Array.concat (List.rev !waves)
+
+let optimize ?(config = default_config) ?budget ?(j = 1) ?tune ~kind design =
+  Obs.Trace.with_span "pao.optimize" @@ fun () ->
+  let start = Unix_time.now () in
+  let budget = Budget.of_option budget in
+  let pool = Exec.shared ~domains:j in
+  let panels =
+    List.init (Netlist.Design.num_panels design) Fun.id
+    |> List.filter (fun panel -> Netlist.Design.pins_of_panel design panel <> [])
+    |> Array.of_list
+  in
+  let solved =
+    match tune with
+    | Some tune -> solve_tuned config ~budget pool ~tune kind design panels
+    | None ->
+      solve_panels ~budget pool kind
+        (Array.map
+           (fun panel -> (panel, config, fun () -> build_panel config design ~panel))
+           panels)
+  in
+  assemble config ~kind ~start design (Array.to_list solved)
 
 (* Single-panel entry point for incremental callers (lib/eco): same
    degradation ladder as [optimize], but on one already-built problem,
@@ -516,13 +334,21 @@ let solve_panel ?(config = default_config) ?budget ?warm_start ~kind ~panel
   solve_problem ?warm_start config ~budget kind ~panel problem
 
 let optimize_combined ?(config = default_config) ?budget ~kind design ~panels =
+  Obs.Trace.with_span "pao.optimize" @@ fun () ->
+  let start = Unix_time.now () in
   let problem =
     try Problem.build_panels config.gen design ~panels
     with Interval_gen.Pin_unreachable pid ->
       Cpr_error.infeasible "pin %d unreachable: its primary track is blocked"
         pid
   in
-  run ~config ?budget ~kind design [ (-1, problem) ]
+  let solved =
+    if Problem.num_pins problem = 0 then []
+    else
+      [ solve_problem config ~budget:(Budget.of_option budget) kind ~panel:(-1)
+          problem ]
+  in
+  assemble config ~kind ~start design solved
 
 let interval_of_pin t pid =
   List.assoc_opt pid t.assignments

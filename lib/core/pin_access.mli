@@ -84,10 +84,11 @@ type tune_hook = {
     objective:float ->
     delta:Obs.Metrics.snapshot ->
     unit;
-      (** reward feedback: the panel's solved objective and its private
-          metrics window ({!Obs.Metrics.diff} over exactly the solve,
-          e.g. [lr.iterations]).  Called in ascending panel order after
-          the panel's wave completes. *)
+      (** reward feedback: the panel's solved objective and its metrics
+          window ({!Obs.Metrics.diff} across the merge of the panel's
+          solve, e.g. [lr.iterations]; the first window of a wave also
+          holds the executor's own [exec.*] join counters).  Called in
+          ascending panel order after the panel's wave completes. *)
 }
 (** The adaptive-scheduling hook ([lib/tune]): a policy selector plus a
     reward observer, threaded through {!optimize}'s per-panel walk.
@@ -100,44 +101,29 @@ val optimize :
   ?config:config ->
   ?budget:Budget.t ->
   ?j:int ->
-  ?stream:bool ->
   ?tune:tune_hook ->
   kind:solver_kind ->
   Netlist.Design.t ->
   t
-(** Solve every panel of the design independently.  Each panel gets an
-    equal slice of the remaining budget; once the budget is exhausted,
-    remaining panels are served directly by the minimum tier so the
+(** Solve every pin-bearing panel of the design independently: one
+    {!Fanout} task per panel, which builds the panel's problem on the
+    worker that solves it (no problem list is held resident) and runs
+    the ladder under an equal, isolated share of the budget.  Once a
+    panel's share is spent, it is served by the minimum tier, so the
     call still returns promptly with a feasible result.
 
     [j] (default 1) is the number of domains panels are fanned out
     over, the paper's production-mode concurrency ([j > 1] reuses the
     process-wide {!Exec.shared} work-stealing pool — no domain spawns
-    per call).  Per-panel results, metrics and spans are merged back
-    in panel order, so without a budget [~j:n] returns bit-identical
-    assignments, reports and objective to [~j:1] for any [n].  Under a
-    finite budget the slicing differs slightly: the sequential walk
-    re-slices the remainder before each panel, while the parallel
-    fan-out hands every panel an equal {!Budget.isolated} slice up
-    front (a domain cannot observe what another has spent mid-flight),
-    reconciling the parent's work counter at join.
+    per call).  Results, metrics, spans and spent work are merged back
+    in panel order and a pool of one takes the same path, so [~j:n]
+    returns bit-identical assignments, reports and objective to
+    [~j:1] for any [n] — also under a finite work allowance.
 
-    [stream] (default false) builds each panel's problem at the moment
-    it is solved instead of materializing every problem up front — the
-    memory contract large ([mega]-tier) designs need, since panel
-    problems are the dominant resident structure.  Bit-identical to
-    the resident path with an unlimited budget at any [j]; under a
-    finite budget the per-panel slice denominator is the total panel
-    count rather than the live (pin-bearing) count, since liveness is
-    only discovered as panels are built.
-
-    [tune] (default absent) threads a {!tune_hook} through the
-    per-panel walk: panels run in fixed-size waves, each panel solving
-    under the config its selector returned, with per-panel metric
-    windows observed back in panel order.  Absent, the walk is the
-    untouched (bit-identical) default path; [tune] forces the resident
-    path even when [stream] is set and re-slices the budget at wave
-    boundaries, so pair it with [stream]/finite budgets knowingly.
+    [tune] (default absent) threads a {!tune_hook} through the same
+    loop, run over fixed-size waves of panels, each panel solving
+    under the config its selector returned.  Each wave gets its
+    panels' share of the remaining budget.
     @raise Cpr_error.Error ([Infeasible_panel]) when a pin has no
     access interval at all (blocked primary track) — no tier can serve
     such a design. *)
@@ -186,13 +172,6 @@ val color_assignments :
     Exactly what {!optimize} runs when the deck is on; exported so
     incremental callers ({!Eco.Engine}) recolor their merged
     assignments in lockstep with the from-scratch path. *)
-
-val panel_budget : Budget.t -> panels_left:int -> Budget.t
-(** The per-panel slice [optimize]'s sequential walk hands each
-    remaining panel: an equal share of the remaining deadline and work
-    allowance (the budget itself when unlimited).  Exported so
-    incremental callers ({!Eco.Engine}) slice budgets in lockstep with
-    the from-scratch walk. *)
 
 val interval_of_pin : t -> Netlist.Pin.id -> Access_interval.t option
 

@@ -85,12 +85,11 @@ type miss = {
    panels (key unchanged) re-serve their stored solution; dirty panels
    re-solve, seeded from the previous entry's multipliers when warm
    starting is on.  The walk runs in three phases — classify (cache
-   lookups, problem builds), solve (the misses; fanned over [pool]'s
-   domains when one is given, each with an isolated budget slice and
-   buffered metrics/spans), accumulate (panel-ascending, [acc +. o]) —
-   which together mirror the original sequential fold exactly: with
-   warm starting off the result is bit-equivalent to a from-scratch
-   run, pool or no pool.  [budget] meters the miss solves through the
+   lookups, problem builds), solve (the misses, one {!Pinaccess.Fanout}
+   task each, over [pool]'s domains when one is given), accumulate
+   (panel-ascending, [acc +. o]) — which together mirror the
+   from-scratch walk exactly: with warm starting off the result is
+   bit-equivalent to a from-scratch run, pool or no pool.  [budget] meters the miss solves through the
    same degradation ladder as [PA.optimize]; hits are free. *)
 let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
     stats =
@@ -161,60 +160,15 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
   (* phase 2: solve the misses.  [Fault.Worker] is the service layer's
      injected worker-failure point — it trips per panel-solve task so a
      supervisor above can observe a single task dying. *)
-  let solve_miss ~budget m =
+  let solve_miss budget m =
     Pinaccess.Fault.trip Pinaccess.Fault.Worker;
     PA.solve_panel ~config:config.pao ~budget ?warm_start:m.m_warm
       ~kind:config.kind ~panel:m.m_panel m.m_problem
   in
   let solved =
-    match pool with
-    | Some pool when Array.length misses > 1 && Exec.domains pool > 1 ->
-      (* equal isolated slices, domain-buffered metrics and spans,
-         merged back in miss (= panel) order — the [PA.optimize ~j]
-         discipline *)
-      let n = Array.length misses in
-      let slices =
-        Array.map
-          (fun _ ->
-            if Pinaccess.Budget.is_unlimited budget then
-              Pinaccess.Budget.isolated budget ()
-            else
-              let seconds =
-                Option.map
-                  (fun s -> s /. float_of_int n)
-                  (Pinaccess.Budget.remaining_seconds budget)
-              in
-              let work_units =
-                Option.map
-                  (fun w -> max 1 (w / n))
-                  (Pinaccess.Budget.remaining_work budget)
-              in
-              Pinaccess.Budget.isolated budget ?seconds ?work_units ())
-          misses
-      in
-      let trace_on = Obs.Trace.enabled () in
-      let task i m =
-        let run () = solve_miss ~budget:slices.(i) m in
-        Obs.Metrics.buffered (fun () ->
-            if trace_on then Obs.Trace.buffered run else (run (), []))
-      in
-      let results = Exec.mapi pool task misses in
-      Array.mapi
-        (fun i ((r, events), mbuf) ->
-          Obs.Metrics.flush mbuf;
-          Obs.Trace.replay events;
-          Pinaccess.Budget.spend budget
-            (Pinaccess.Budget.work_spent slices.(i));
-          r)
-        results
-    | _ ->
-      let panels_left = ref (Array.length misses) in
-      Array.map
-        (fun m ->
-          let sliced = PA.panel_budget budget ~panels_left:!panels_left in
-          decr panels_left;
-          solve_miss ~budget:sliced m)
-        misses
+    Pinaccess.Fanout.map ~budget
+      (Option.value pool ~default:Exec.sequential)
+      solve_miss misses
   in
   (* store fresh entries before accumulation so duplicate-key panels
      can re-serve them, exactly as the sequential walk would *)

@@ -82,8 +82,7 @@ val create :
     route if configured.  [budget] meters the panel solves through the
     degradation ladder exactly as {!Pinaccess.Pin_access.optimize}
     does; [pool] fans the solves over its domains (results merged in
-    panel order, so without a budget the output is bit-identical to
-    the sequential walk).
+    panel order, so the output is the same without a pool).
     @raise Pinaccess.Cpr_error.Error as [optimize] would. *)
 
 val apply :

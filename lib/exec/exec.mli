@@ -29,9 +29,9 @@
 
     Tasks must not submit work to the pool that is running them
     ({!map} is not re-entrant), and they are responsible for their own
-    isolation: anything they mutate must be private to the task (see
-    [Obs.Metrics.buffered] and [Budget.isolated] for the
-    observability and budget halves of that contract). *)
+    isolation: anything they mutate must be private to the task.
+    [Pinaccess.Fanout.map] wraps {!map} with the observability and
+    budget halves of that contract. *)
 
 type t
 (** An executor: either inline-sequential or a domain pool. *)

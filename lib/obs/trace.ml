@@ -116,9 +116,19 @@ let with_span name f =
       raise e
   end
 
+(* depths inside the scope count from 0, whatever spans the calling
+   domain has open: [replay] adds the replaying caller's depth, so a
+   task that ran under an open span on the caller must not carry it
+   twice *)
 let buffered f =
+  let st = Domain.DLS.get state_key in
   let sink, events = collect () in
-  let v = with_sink sink f in
+  let depth = st.depth in
+  st.depth <- 0;
+  let v =
+    Fun.protect ~finally:(fun () -> st.depth <- depth) (fun () ->
+        with_sink sink f)
+  in
   (v, events ())
 
 let replay events =

@@ -71,14 +71,12 @@ let finish ?(rules = Drc.Rules.default) ?tpl ?(reused = 0) ~grid ~pao
         | None -> ()
       end)
     fills;
-  let violations = Drc.Check.run rules layout in
-  (* the final verdict colors the *extended* metal: re-extract so the
-     line-end fills pushed in above are part of the decomposition *)
-  let tpl_stats =
-    Option.map
-      (fun deck -> Drc.Tpl.check deck (Drc.Extract.of_routes design routes))
-      tpl
-  in
+  (* the final verdict judges the *extended* metal: re-extract so the
+     fills pushed in above are part of it — a fill can put a net's M2
+     and M3 metal on the same point, which is a via *)
+  let final = Drc.Extract.of_routes design routes in
+  let violations = Drc.Check.run rules final in
+  let tpl_stats = Option.map (fun deck -> Drc.Tpl.check deck final) tpl in
   let blamed =
     List.sort_uniq Int.compare
       (Drc.Check.blamed_nets violations

@@ -252,7 +252,9 @@ let routing_order ?(order = Hp) specs =
    the results in order — which reproduces the sequential processing
    of that order exactly.  This is the dependency coloring the rip-up
    rounds fan out on: each batch is one color class of the round's
-   victim list. *)
+   victim list.  It does not use [Pinaccess.Fanout]: a sequential
+   maze search may spend the whole remaining allowance, so each net
+   gets an isolated copy of all of it, not an equal share. *)
 let route_batches_parallel ?budget ~cost ~pfac pool grid maze_key specs order
     ~prepare ~apply =
   let die = Netlist.Design.die (Grid.design grid) in

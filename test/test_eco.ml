@@ -481,6 +481,40 @@ let test_engine_routed () =
     stream;
   check "clean routes were frozen across steps" true (!frozen > 0)
 
+(* A line-end fill can put a net's M2 and M3 metal on one point, which
+   is a via: the flow must judge DRC on the metal after the fills, as
+   the audit's re-extraction does.  This warm-started stream on a small
+   top-shape design (the shape the benchmark's eco-route workload
+   generates) hit exactly that on its fourth step. *)
+let test_engine_routed_warm_fills () =
+  let top = Workloads.Suite.find "top" and scale = 0.02 in
+  let shrink dim =
+    max 2 (int_of_float (Float.round (float_of_int dim *. sqrt scale)))
+  in
+  let design =
+    Workloads.Generator.generate
+      (Workloads.Generator.with_size ~name:"top"
+         ~nets:(max 8 (int_of_float (Float.round (float_of_int top.nets *. scale))))
+         ~width:(shrink top.um_width * 10)
+         ~height:(shrink top.um_height * 10)
+         ~seed:6003L ())
+  in
+  let config = { Engine.default_config with Engine.routing = true } in
+  check "warm starting is the default" true config.Engine.warm_start;
+  let engine = Engine.create ~config design in
+  List.iteri
+    (fun step batch ->
+      ignore (Engine.apply engine batch);
+      match Engine.flow engine with
+      | None -> Alcotest.fail "flow dropped by an incremental step"
+      | Some flow ->
+        let issues = Audit.Flow_audit.run flow in
+        if issues <> [] then
+          Alcotest.failf "step %d: %s" (step + 1)
+            (String.concat "; " (List.map Audit.Flow_audit.issue_to_string issues)))
+    (Workloads.Eco_stream.local_moves ~seed:(Int64.add 6003L 7919L) ~steps:6
+       ~dirty_fraction:0.05 design)
+
 (* ------------------------------------------------------------------ *)
 (* Audit plumbing                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -550,6 +584,8 @@ let () =
           Alcotest.test_case "invalid batch is atomic" `Quick
             test_engine_invalid_leaves_state;
           Alcotest.test_case "routed increments" `Quick test_engine_routed;
+          Alcotest.test_case "routed warm increments judge filled metal"
+            `Quick test_engine_routed_warm_fills;
         ] );
       ( "audit",
         [

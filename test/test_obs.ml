@@ -63,6 +63,35 @@ let test_span_exception () =
         check_int "after depth" 0 after.depth
       | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs))
 
+(* A task buffered on the caller, under an open span, must replay at
+   the same depth as one buffered on a fresh worker domain: depths
+   inside [buffered] count from the task's own root. *)
+let test_buffered_depth () =
+  let now, advance = fake_clock () in
+  Obs.Clock.with_source now (fun () ->
+      let sink, events = Obs.Trace.collect () in
+      let task () = Obs.Trace.with_span "task" (fun () -> advance 1.0) in
+      Obs.Trace.with_sink sink (fun () ->
+          Obs.Trace.with_span "run" (fun () ->
+              let (), local = Obs.Trace.buffered task in
+              let (), remote =
+                Domain.join (Domain.spawn (fun () -> Obs.Trace.buffered task))
+              in
+              check "same relative depths" true
+                (List.map (fun e -> e.Obs.Trace.depth) local
+                = List.map (fun e -> e.Obs.Trace.depth) remote);
+              Obs.Trace.replay local;
+              Obs.Trace.replay remote;
+              (* the caller's own depth is back after the scope *)
+              Obs.Trace.with_span "after" ignore));
+      match events () with
+      | [ local; remote; after; run ] ->
+        check_int "caller-buffered task depth" 1 local.Obs.Trace.depth;
+        check_int "worker-buffered task depth" 1 remote.depth;
+        check_int "after depth" 1 after.depth;
+        check_int "run depth" 0 run.depth
+      | evs -> Alcotest.failf "expected 4 events, got %d" (List.length evs))
+
 let test_sink_restored () =
   check "disabled before" false (Obs.Trace.enabled ());
   let sink, _ = Obs.Trace.collect () in
@@ -372,6 +401,8 @@ let () =
           Alcotest.test_case "span finishes on exception" `Quick
             test_span_exception;
           Alcotest.test_case "with_sink restores" `Quick test_sink_restored;
+          Alcotest.test_case "buffered depth is task-relative" `Quick
+            test_buffered_depth;
         ] );
       ( "metrics",
         [
